@@ -12,15 +12,16 @@ invalid programs), as in Ansor/TenSet.
 
 from __future__ import annotations
 
+import time
 from abc import ABC, abstractmethod
 
 import numpy as np
 
+from repro import obs
 from repro.config import TrainConfig
 from repro.errors import CostModelError
-from repro.nn.autograd import Tensor, no_grad
 from repro.nn.layers import Module
-from repro.nn.losses import lambdarank_loss, pairwise_rank_accuracy
+from repro.nn.losses import lambdarank_grad, pairwise_rank_accuracy
 from repro.nn.optim import Adam
 from repro.rng import make_rng
 from repro.schedule.batch import CandidateBatch
@@ -181,7 +182,9 @@ class CostModel(ABC):
 class NNCostModel(CostModel):
     """Shared LambdaRank training loop for the neural cost models.
 
-    Subclasses provide ``self.net`` (a :class:`~repro.nn.layers.Module`)
+    Subclasses provide ``self.net`` (a :class:`~repro.nn.layers.Module`
+    whose ``forward(x, train)`` returns (N, 1) scores and whose
+    ``backward(grad)`` fills the parameter gradients)
     and :meth:`featurize` returning the network input for a batch.
 
     Inputs are standardized with statistics frozen at the first fit;
@@ -231,9 +234,7 @@ class NNCostModel(CostModel):
         return self._forward(self.featurize_batch(batch))
 
     def _forward(self, features: np.ndarray) -> np.ndarray:
-        with no_grad():
-            scores = self.net(Tensor(self._normalize(features)))
-        return scores.data.reshape(-1)
+        return self.net.forward(self._normalize(features)).reshape(-1)
 
     def fit(
         self,
@@ -243,14 +244,25 @@ class NNCostModel(CostModel):
         train: TrainConfig | None = None,
         rng: np.random.Generator | None = None,
     ) -> float:
+        """LambdaRank training; also reports where the time went.
+
+        The ``train.featurize`` / ``train.forward`` / ``train.backward``
+        / ``train.optimizer`` stage seconds are summed over every step
+        and recorded once per fit (see :func:`repro.obs.add_substage`).
+        The returned rank accuracy scores the features just trained on.
+        """
         if len(progs) < 2:
             return 0.0
         train = train or TrainConfig()
         rng = rng if rng is not None else make_rng(0)
         labels, groups = make_labels(latencies, group_keys)
+        clock = time.perf_counter
+        t0 = clock()
         features = self._normalize(self.featurize(progs), fit=True)
+        featurize_s = clock() - t0
+        forward_s = backward_s = optimizer_s = 0.0
         optimizer = Adam(
-            self.net.parameters(),
+            self.net.flat_params(),
             lr=train.learning_rate,
             weight_decay=train.weight_decay,
             grad_clip=train.grad_clip,
@@ -262,17 +274,33 @@ class NNCostModel(CostModel):
                     idx = perm[start : start + train.batch_size]
                     if len(idx) < 2:
                         continue
-                    optimizer.zero_grad()
-                    scores = self.net(Tensor(features[idx]))
-                    loss = lambdarank_loss(
+                    t0 = clock()
+                    scores = self.net.forward(features[idx], train=True)
+                    t1 = clock()
+                    # the lambdas are d(loss)/d(scores): no loss value needed
+                    lambdas = lambdarank_grad(
                         scores.reshape(len(idx)),
                         labels[idx],
                         [np.arange(len(idx))],
                         rng=rng,
                     )
-                    loss.backward()
+                    self.net.backward(lambdas.reshape(scores.shape))
+                    t2 = clock()
                     optimizer.step()
-        final = self.predict(progs)
+                    t3 = clock()
+                    forward_s += t1 - t0
+                    backward_s += t2 - t1
+                    optimizer_s += t3 - t2
+        t0 = clock()
+        final = self.net.forward(features).reshape(-1)
+        forward_s += clock() - t0
+        for stage, seconds in (
+            ("featurize", featurize_s),
+            ("forward", forward_s),
+            ("backward", backward_s),
+            ("optimizer", optimizer_s),
+        ):
+            obs.add_substage(f"train.{stage}", seconds)
         return pairwise_rank_accuracy(final, labels, groups)
 
     def get_params(self) -> dict[str, np.ndarray]:

@@ -33,7 +33,6 @@ from repro.features.statement import (
     statement_matrix_batch,
 )
 from repro.schedule.batch import CandidateBatch
-from repro.nn.autograd import Tensor, concatenate
 from repro.nn.layers import (
     LayerNorm,
     Linear,
@@ -41,6 +40,8 @@ from repro.nn.layers import (
     MultiHeadSelfAttention,
     ReLU,
     Sequential,
+    mean_pool,
+    mean_pool_backward,
 )
 from repro.schedule.lower import LoweredProgram
 
@@ -62,6 +63,7 @@ class _PaCMNet(Module):
             raise CostModelError("PaCM needs at least one feature branch")
         self.use_statement = use_statement
         self.use_dataflow = use_dataflow
+        self.stmt_dim = stmt_dim
         fused = 0
         if use_statement:
             self.stmt_branch = Sequential(
@@ -83,22 +85,32 @@ class _PaCMNet(Module):
             Linear(64, 1, seed=seed + 6),
         )
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         """x packs [statement | flattened dataflow] per row."""
         n = x.shape[0]
-        branches: list[Tensor] = []
+        branches: list[np.ndarray] = []
         if self.use_statement:
-            stmt = Tensor(x.data[:, :STATEMENT_DIM])
-            branches.append(self.stmt_branch(stmt))
+            branches.append(self.stmt_branch.forward(x[:, :STATEMENT_DIM], train))
         if self.use_dataflow:
-            df = Tensor(
-                x.data[:, STATEMENT_DIM:].reshape(n, DATAFLOW_BLOCKS, DATAFLOW_DIM)
-            )
-            h = self.df_embed(df)
-            h = self.df_norm(h + self.df_attn(h))
-            branches.append(h.mean(axis=1))
-        fused = branches[0] if len(branches) == 1 else concatenate(branches, axis=-1)
-        return self.head(fused)
+            df = x[:, STATEMENT_DIM:].reshape(n, DATAFLOW_BLOCKS, DATAFLOW_DIM)
+            h = self.df_embed.forward(df, train)
+            h = self.df_norm.forward(h + self.df_attn.forward(h, train), train)
+            branches.append(mean_pool(h))
+        fused = branches[0] if len(branches) == 1 else np.concatenate(branches, axis=-1)
+        return self.head.forward(fused, train)
+
+    def backward(self, grad: np.ndarray) -> None:
+        """Fill every parameter gradient (the net input is data)."""
+        g_fused = self.head.backward(grad)
+        both = self.use_statement and self.use_dataflow
+        if self.use_statement:
+            g_stmt = g_fused[:, : self.stmt_dim].copy() if both else g_fused
+            self.stmt_branch.backward(g_stmt)
+        if self.use_dataflow:
+            g_pool = g_fused[:, self.stmt_dim :].copy() if both else g_fused
+            g_res = self.df_norm.backward(mean_pool_backward(g_pool, DATAFLOW_BLOCKS))
+            g_h = self.df_attn.backward(g_res, residual=g_res)
+            self.df_embed.backward(g_h)
 
 
 class PaCM(NNCostModel):

@@ -15,7 +15,6 @@ import numpy as np
 from repro.costmodel.base import NNCostModel
 from repro.features.primitives import PRIMITIVE_DIM, primitive_tensor, primitive_tensor_batch
 from repro.schedule.batch import CandidateBatch
-from repro.nn.autograd import Tensor
 from repro.nn.layers import (
     LayerNorm,
     Linear,
@@ -23,6 +22,8 @@ from repro.nn.layers import (
     MultiHeadSelfAttention,
     ReLU,
     Sequential,
+    mean_pool,
+    mean_pool_backward,
 )
 from repro.schedule.lower import LoweredProgram
 
@@ -40,11 +41,19 @@ class _TLPNet(Module):
             Linear(d_model, 1, seed=seed + 21),
         )
 
-    def forward(self, x: Tensor) -> Tensor:  # (N, T, F)
-        h = self.embed(x)
-        h = self.norm(h + self.attn(h))
-        pooled = h.mean(axis=1)  # (N, d)
-        return self.head(pooled)
+    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:  # (N, T, F)
+        h = self.embed.forward(x, train)
+        h = self.norm.forward(h + self.attn.forward(h, train), train)
+        if train:
+            self._length = x.shape[1]
+        return self.head.forward(mean_pool(h), train)  # pooled (N, d)
+
+    def backward(self, grad: np.ndarray) -> None:
+        """Fill every parameter gradient (the net input is data)."""
+        g_pool = self.head.backward(grad)
+        g_res = self.norm.backward(mean_pool_backward(g_pool, self._length))
+        g_h = self.attn.backward(g_res, residual=g_res)
+        self.embed.backward(g_h)
 
 
 class TLPModel(NNCostModel):

@@ -1,28 +1,33 @@
-"""Minimal numpy neural-network substrate (autograd, layers, optim, losses).
+"""Minimal numpy neural-network substrate (layers, optim, losses).
 
 The paper's cost models (TenSetMLP, TLP's transformer, PaCM's
-pattern-aware transformer) are small networks; this package provides a
-reverse-mode autograd over numpy arrays plus the layers they need:
-linear, layer-norm, multi-head self-attention, Adam, and the
-LambdaRank ranking loss the paper trains PaCM with (Section 4.2).
+pattern-aware transformer) are small networks; this package provides
+the layers they need — linear, ReLU, layer-norm, multi-head
+self-attention — running on plain ndarrays with an explicit backward
+per layer, Adam over one flat parameter buffer, and the LambdaRank
+ranking gradient the paper trains PaCM with (Section 4.2).
+
+:mod:`repro.nn.autograd` keeps a small reverse-mode tape.  Nothing on
+the training path uses it: it is the oracle the tests hold the explicit
+backward passes to, bit for bit.
 """
 
-from repro.nn.autograd import Tensor, concatenate, no_grad
 from repro.nn.layers import (
-    Linear,
+    FlatParams,
     LayerNorm,
+    Linear,
     Module,
     MultiHeadSelfAttention,
+    Parameter,
     ReLU,
     Sequential,
 )
 from repro.nn.optim import Adam
-from repro.nn.losses import lambdarank_loss, mse_loss, pairwise_rank_accuracy
+from repro.nn.losses import lambdarank_grad, pairwise_rank_accuracy
 
 __all__ = [
-    "Tensor",
-    "concatenate",
-    "no_grad",
+    "Parameter",
+    "FlatParams",
     "Module",
     "Linear",
     "ReLU",
@@ -30,7 +35,6 @@ __all__ = [
     "LayerNorm",
     "MultiHeadSelfAttention",
     "Adam",
-    "mse_loss",
-    "lambdarank_loss",
+    "lambdarank_grad",
     "pairwise_rank_accuracy",
 ]

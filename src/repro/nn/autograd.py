@@ -5,6 +5,10 @@ nodes, each storing the numpy payload, an optional gradient, and a
 closure that accumulates gradients into its parents.  Supports the op
 set the cost models need (dense algebra, batched matmul with
 broadcasting, softmax, reductions, shape ops).
+
+This is the test oracle, not the training path: the layers in
+:mod:`repro.nn.layers` backprop explicitly, and the tests compose the
+same networks from these ops to check those gradients bit for bit.
 """
 
 from __future__ import annotations

@@ -1,24 +1,15 @@
-"""Losses: MSE and the LambdaRank ranking loss (paper Section 4.2).
+"""The LambdaRank ranking loss (paper Section 4.2) and rank accuracy.
 
 PaCM (and our TLP reimplementation) are trained as rankers: within each
 tuning task, only the *ordering* of schedule latencies matters.
-LambdaRank defines per-sample gradients (lambdas) directly; we compute
-them in numpy and inject them through the autograd graph via the
-standard ``(scores * stop_grad(lambdas)).sum()`` construction, whose
-gradient w.r.t. ``scores`` is exactly the lambda vector.
+LambdaRank defines per-sample gradients (lambdas) directly, so training
+never forms the loss value: :func:`lambdarank_grad` returns
+d(loss)/d(scores), which goes straight into the network's backward.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.nn.autograd import Tensor
-
-
-def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Mean squared error against a constant target."""
-    diff = pred - Tensor(np.asarray(target, dtype=np.float64))
-    return (diff * diff).mean()
 
 
 def _dcg_discounts(n: int) -> np.ndarray:
@@ -58,15 +49,15 @@ def lambdarank_lambdas(
     return lam.sum(axis=1)
 
 
-def lambdarank_loss(
-    scores: Tensor,
+def lambdarank_grad(
+    scores: np.ndarray,
     labels: np.ndarray,
     groups: list[np.ndarray],
     sigma: float = 1.0,
     max_group: int = 512,
     rng: np.random.Generator | None = None,
-) -> Tensor:
-    """Differentiable LambdaRank loss over grouped samples.
+) -> np.ndarray:
+    """Gradient of the LambdaRank loss over grouped samples w.r.t. ``scores``.
 
     Parameters
     ----------
@@ -81,17 +72,15 @@ def lambdarank_loss(
         Groups larger than this are subsampled per call to bound the
         O(n^2) pair computation.
     """
-    s = scores.data
-    lambdas = np.zeros_like(s)
+    lambdas = np.zeros_like(scores)
     for idx in groups:
         idx = np.asarray(idx)
         if len(idx) > max_group:
             if rng is None:
                 rng = np.random.default_rng(0)
             idx = rng.choice(idx, size=max_group, replace=False)
-        lambdas[idx] += lambdarank_lambdas(s[idx], np.asarray(labels)[idx], sigma)
-    # gradient of (scores * lambdas).sum() w.r.t. scores is `lambdas`.
-    return (scores * Tensor(lambdas)).sum()
+        lambdas[idx] += lambdarank_lambdas(scores[idx], np.asarray(labels)[idx], sigma)
+    return lambdas
 
 
 def pairwise_rank_accuracy(

@@ -48,7 +48,9 @@ from repro.obs.trace import (
 METRICS = MetricsRegistry()
 
 #: Stage wall-clock histogram: draft / score / lower / verify / measure
-#: / train, one observation per span.
+#: / train, one observation per span; train.featurize / train.forward /
+#: train.backward / train.optimizer split ``train``, one observation
+#: each per fit.
 STAGE_SECONDS = METRICS.histogram(
     "repro_stage_seconds",
     "Wall-clock seconds per tuning pipeline stage",
@@ -61,6 +63,15 @@ FUNNEL = METRICS.counter(
     "Candidates flowing through each funnel stage "
     "(drafted -> gated -> measured)",
     labels=("stage",),
+)
+
+#: Pairwise rank accuracy of the cost model on its own training set
+#: after its latest fit (the value ``CostModel.fit`` returns).
+RANK_ACCURACY = METRICS.gauge(
+    "repro_costmodel_rank_accuracy",
+    "Pairwise rank accuracy of the cost model on its training records "
+    "after the latest fit",
+    labels=("model",),
 )
 
 #: Completed tuning rounds in this process.
@@ -122,6 +133,21 @@ def span(stage: str, registry: MetricsRegistry | None = None):
             trace.add_stage(stage, elapsed)
 
 
+def add_substage(substage: str, seconds: float) -> None:
+    """Record ``seconds`` spent in part of a stage, timed by the caller.
+
+    ``substage`` is ``stage.part`` (e.g. ``train.backward``).  For work
+    too fine-grained for a span per call: the cost model sums its
+    ``perf_counter`` deltas over every training step and reports once
+    per fit.  Observed into ``repro_stage_seconds`` under the dotted
+    name and added to the current trace's ``substages``.
+    """
+    STAGE_SECONDS.labels(stage=substage).observe(seconds)
+    trace = current_trace()
+    if trace is not None:
+        trace.add_substage(substage, seconds)
+
+
 def funnel(stage: str, n: int) -> None:
     """Count ``n`` candidates through a funnel stage (batch granularity)."""
     FUNNEL.labels(stage=stage).inc(n)
@@ -179,11 +205,13 @@ __all__ = [
     "METRICS",
     "STAGE_SECONDS",
     "FUNNEL",
+    "RANK_ACCURACY",
     "ROUNDS",
     "MEASURED",
     "LOWERED",
     "CAUGHT",
     "span",
+    "add_substage",
     "funnel",
     "current_trace",
     "use_trace",

@@ -2,8 +2,10 @@
 
 A :class:`RoundTrace` is the structured record of one tuning round:
 which task ran, how long each pipeline stage took (draft / score /
-lower / verify / measure / train), and how many candidates flowed
-through each funnel stage (drafted -> gated -> measured).  The tuner
+lower / verify / measure / train, with train split into featurize /
+forward / backward / optimizer), how many candidates flowed through
+each funnel stage (drafted -> gated -> measured), and how well the cost
+model ranked its training records after the round's fit.  The tuner
 opens one per round; the stage spans and funnel counters in the search
 layers find it through a thread-local (see :func:`current_trace`), so
 policies stay ignorant of who is tracing them.
@@ -34,18 +36,28 @@ class RoundTrace:
 
     ``stages`` maps stage name -> seconds (summed when a stage runs
     several times in a round, e.g. Ansor lowering per GA generation);
-    ``funnel`` maps funnel stage -> candidate count; ``total`` is the
-    wall-clock of the whole round.
+    stages are disjoint, so they sum to at most ``total``.
+    ``substages`` splits a stage further, keyed ``stage.part`` (e.g.
+    ``train.backward``); those seconds are already inside their
+    stage's.  ``funnel`` maps funnel stage -> candidate count; ``total``
+    is the wall-clock of the whole round.  ``rank_accuracy`` is the
+    cost model's pairwise rank accuracy on its training records after
+    this round's fit (None when the round did not train).
     """
 
     round_index: int = 0
     task_key: str = ""
     total: float = 0.0
     stages: dict[str, float] = field(default_factory=dict)
+    substages: dict[str, float] = field(default_factory=dict)
     funnel: dict[str, int] = field(default_factory=dict)
+    rank_accuracy: float | None = None
 
     def add_stage(self, stage: str, seconds: float) -> None:
         self.stages[stage] = self.stages.get(stage, 0.0) + seconds
+
+    def add_substage(self, substage: str, seconds: float) -> None:
+        self.substages[substage] = self.substages.get(substage, 0.0) + seconds
 
     def add_count(self, stage: str, n: int) -> None:
         self.funnel[stage] = self.funnel.get(stage, 0) + int(n)
@@ -56,7 +68,9 @@ class RoundTrace:
             "task": self.task_key,
             "total_s": self.total,
             "stages": dict(self.stages),
+            "substages": dict(self.substages),
             "funnel": dict(self.funnel),
+            "rank_accuracy": self.rank_accuracy,
         }
 
 

@@ -53,10 +53,13 @@ class RoundProgress:
     the plan.  ``latency`` mirrors the tuning curve (inf until every
     task has a measured trial).  ``stages`` and ``funnel`` carry the
     round's telemetry (stage name -> wall seconds, funnel stage ->
-    candidate count, from the :class:`~repro.obs.RoundTrace`) so
+    candidate count, from the :class:`~repro.obs.RoundTrace`; plus
+    ``substages``, the ``train.*`` split of the train stage) so
     consumers — the service's trace sink, runner heartbeats shipping
     timings into the server's metrics registry — see where the round's
-    time went without re-instrumenting anything.
+    time went without re-instrumenting anything.  ``rank_accuracy`` is
+    the cost model's pairwise rank accuracy after the round's fit (None
+    when the round did not train).
     """
 
     round_index: int
@@ -66,7 +69,9 @@ class RoundProgress:
     sim_time: float
     stages: dict[str, float] = field(default_factory=dict)
     funnel: dict[str, int] = field(default_factory=dict)
+    substages: dict[str, float] = field(default_factory=dict)
     round_s: float = 0.0  # wall-clock of the whole round
+    rank_accuracy: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -77,7 +82,9 @@ class RoundProgress:
             "sim_time": self.sim_time,
             "stages": dict(self.stages),
             "funnel": dict(self.funnel),
+            "substages": dict(self.substages),
             "round_s": self.round_s,
+            "rank_accuracy": self.rank_accuracy,
         }
 
 
@@ -266,7 +273,9 @@ class Tuner:
                         sim_time=point.sim_time,
                         stages=dict(trace.stages) if trace else {},
                         funnel=dict(trace.funnel) if trace else {},
+                        substages=dict(trace.substages) if trace else {},
                         round_s=trace.total if trace else 0.0,
+                        rank_accuracy=trace.rank_accuracy if trace else None,
                     )
                 )
         if not curve:
@@ -358,10 +367,14 @@ class Tuner:
             if self.mode == "moa":
                 assert self.adapter is not None
                 self.adapter.load_into(self.model)  # 1. Load Param
-                self.model.fit(progs, lats, keys, train=self.train, rng=self.rng)
+                accuracy = self.model.fit(progs, lats, keys, train=self.train, rng=self.rng)
                 self.adapter.update_from(self.model)  # 3. Momentum update
             else:  # online / finetune: keep training the live model
-                self.model.fit(progs, lats, keys, train=self.train, rng=self.rng)
+                accuracy = self.model.fit(progs, lats, keys, train=self.train, rng=self.rng)
+        obs.RANK_ACCURACY.labels(model=self.model.kind).set(accuracy)
+        trace = obs.current_trace()
+        if trace is not None:
+            trace.rank_accuracy = accuracy
         self._model_trained = True
         self.model_trained_on = max(len(progs), self._inherited_trained_on)
         self.clock.charge_training(self.model.kind, len(progs), self.train.epochs)

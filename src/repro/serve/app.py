@@ -183,6 +183,11 @@ class ServeApp:
             "Per-stage wall seconds from runner round reports.",
             labels=("runner", "stage"),
         )
+        self._runner_rank_accuracy = self.metrics.gauge(
+            "repro_runner_rank_accuracy",
+            "Cost-model pairwise rank accuracy after the latest reported fit.",
+            labels=("runner",),
+        )
         # Gate rejections are counted by the HTTP layer; pre-registering
         # the (unlabeled) families here makes a fresh server render them
         # at 0 instead of omitting them until the first rejection.
@@ -421,13 +426,18 @@ class ServeApp:
                 return
             self._noted_rounds[lease.lease_id] = round_index
         self._runner_rounds.labels(runner=lease.runner_id).inc()
-        stages = progress.get("stages")
-        if isinstance(stages, dict):
+        for key in ("stages", "substages"):
+            stages = progress.get(key)
+            if not isinstance(stages, dict):
+                continue
             for stage, seconds in stages.items():
                 if isinstance(seconds, (int, float)):
                     self._runner_stages.labels(
                         runner=lease.runner_id, stage=str(stage)
                     ).observe(float(seconds))
+        accuracy = progress.get("rank_accuracy")
+        if isinstance(accuracy, (int, float)):
+            self._runner_rank_accuracy.labels(runner=lease.runner_id).set(float(accuracy))
         self.service.traces.write(
             lease.job_id, {"job_id": lease.job_id, "runner": lease.runner_id, **progress}
         )

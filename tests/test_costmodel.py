@@ -12,6 +12,7 @@ from repro.errors import CostModelError
 from repro.hardware.device import get_device
 from repro.hardware.simulator import GroundTruthSimulator
 from repro.ir import ops
+from repro.nn import pairwise_rank_accuracy
 from repro.rng import make_rng
 from repro.schedule import generate_sketch, lower, random_config
 
@@ -121,6 +122,20 @@ class TestNNModelSpecifics:
         a.fit(progs, lats, keys, train=TrainConfig(epochs=2), rng=make_rng(0))
         params = a.get_params()
         assert "_norm.mu" in params and "_norm.sigma" in params
+
+    @pytest.mark.parametrize("factory", [PaCM, TLPModel, TenSetMLP])
+    def test_fit_featurizes_once(self, training_data, factory):
+        """The closing rank-accuracy pass reuses the training features."""
+        progs, lats, keys = training_data
+        model = factory(seed=0)
+        calls = []
+        featurize = model.featurize
+        model.featurize = lambda ps: calls.append(len(ps)) or featurize(ps)
+        accuracy = model.fit(progs, lats, keys, train=TrainConfig(epochs=1), rng=make_rng(0))
+        assert calls == [len(progs)]
+        del model.featurize
+        labels, groups = make_labels(lats, keys)
+        assert accuracy == pairwise_rank_accuracy(model.predict(progs), labels, groups)
 
     def test_pacm_requires_a_branch(self):
         with pytest.raises(CostModelError):

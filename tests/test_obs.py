@@ -317,6 +317,23 @@ class TestTunerTrace:
             assert wire["stages"] == snap.stages
             assert wire["round_s"] == snap.round_s
 
+    def test_train_stage_split_and_rank_accuracy(self, tuned):
+        tuner, _, snapshots = tuned
+        parts = ("featurize", "forward", "backward", "optimizer")
+        for snap in snapshots:  # every round trains (online mode)
+            assert set(snap.substages) == {f"train.{part}" for part in parts}
+            split = sum(snap.substages.values())
+            assert 0.5 * snap.stages["train"] <= split <= snap.stages["train"]
+            assert 0.0 <= snap.rank_accuracy <= 1.0
+            wire = snap.to_dict()
+            assert wire["rank_accuracy"] == snap.rank_accuracy
+            assert wire["substages"] == snap.substages
+        trace = tuner.last_trace
+        assert trace.rank_accuracy == snapshots[-1].rank_accuracy
+        assert trace.to_dict()["rank_accuracy"] == trace.rank_accuracy
+        gauge = obs.RANK_ACCURACY.labels(model=tuner.model.kind)
+        assert gauge.value == trace.rank_accuracy
+
     def test_global_counters_advanced(self, tuned):
         # the run above measured through MeasureRunner and the policies
         assert obs.ROUNDS.value >= 3
@@ -470,6 +487,24 @@ class TestServeMetrics:
         assert len(rows) == 1
         assert rows[0]["runner"] == "worker-2"
         assert rows[0]["stages"] == {"draft": 0.2, "measure": 0.1}
+
+    def test_heartbeat_rank_accuracy_and_substages(self, stack):
+        stack.client.submit("bert_tiny", rounds=2, top_k_tasks=1)
+        leased = stack.client.lease("worker-4")
+        progress = {
+            "round": 1,
+            "rounds": 2,
+            "stages": {"train": 0.4},
+            "substages": {"train.backward": 0.25},
+            "rank_accuracy": 0.75,
+        }
+        stack.client.heartbeat(leased["lease_id"], "worker-4", progress=progress)
+        text, _ = stack.scrape()
+        assert 'repro_runner_rank_accuracy{runner="worker-4"} 0.75' in text
+        assert (
+            'repro_runner_stage_seconds_count{runner="worker-4",stage="train.backward"} 1'
+            in text
+        )
 
     def test_metrics_scrape_reaps_expired_leases(self, stack, clock):
         stack.client.submit("bert_tiny", rounds=2, top_k_tasks=1)
