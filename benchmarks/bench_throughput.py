@@ -1,19 +1,27 @@
-"""End-to-end candidate-pipeline throughput: batched vs pre-refactor scalar.
+"""End-to-end candidate-pipeline throughput: batched vs candidate-at-a-time.
 
-Measures candidates/second through the two stages of Pruner's
-draft-then-verify pipeline:
+Measures candidates/second through the stages of Pruner's
+draft-then-verify pipeline, each run once on whole batches and once one
+candidate at a time:
 
 * **draft** — a full Latent-Schedule-Explorer run (GA generations of
   lowering + Symbol-based-Analyzer scoring), batched
-  (:mod:`repro.schedule.batch`) vs the pre-refactor scalar
-  implementation (vendored below, one Python object per candidate);
+  (:mod:`repro.schedule.batch`) vs the seed's GA loop (vendored below)
+  calling ``lower`` and ``analyzer.score`` per candidate;
 * **verify** — learned-model scoring of a drafted set
-  (``lower_batch`` + ``predict_batch`` vs per-program feature
-  extraction + prediction);
+  (``lower_batch`` + ``predict_batch`` vs per-candidate ``lower`` /
+  ``is_launchable`` + per-program feature extraction and prediction);
 * **measure** — simulating/noising/clock-charging the measurement
   batch (``MeasureRunner.measure_batch`` vs the pre-batching scalar
-  loop, vendored below: per-program math-based simulation, one noise
-  draw and clock charge at a time).
+  loop, vendored below: per-program simulation calling
+  ``compute_penalties`` / ``extract_symbols``, one noise draw and clock
+  charge at a time).
+
+The per-candidate entry points (``lower``, ``analyzer.score``,
+``is_launchable``, ``compute_penalties``, ``extract_symbols``) are
+one-row views of the batch implementations, so the ratios compare
+batched calls against candidate-at-a-time calls of the same code, not
+against an independent scalar implementation.
 
 It also reports the **lowering memo**: candidates/second through
 ``lower_batch_memo`` for a cold round vs a warm round over the same

@@ -13,6 +13,9 @@ twin.
 ``drift-missing-wrapper``
     the declared scalar function or its batch twin is not where the
     manifest says (the manifest rotted, or the refactor dropped a path).
+    A module-level twin may also live in another scanned module that
+    the scalar's module imports it from (``from pkg.batch import twin``,
+    also inside a function body).
 ``drift-fat-wrapper``
     the scalar body exceeds ``max_statements`` statements or contains a
     ``for``/``while`` loop — the shape of a re-implementation, not a
@@ -52,6 +55,22 @@ def _find_function(tree: ast.Module, cls: str | None, name: str):
     return None
 
 
+def _imported_function(
+    module: ModuleInfo, name: str, by_rel: dict[str, ModuleInfo]
+):
+    """The top-level ``name`` of a scanned module ``module`` imports it from."""
+    for node in ast.walk(module.tree):
+        if not isinstance(node, ast.ImportFrom) or not node.module:
+            continue
+        if not any(a.name == name and a.asname in (None, name) for a in node.names):
+            continue
+        suffix = node.module.replace(".", "/") + ".py"
+        for rel in sorted(by_rel):
+            if rel.endswith(suffix):
+                return _find_function(by_rel[rel].tree, None, name)
+    return None
+
+
 def _body_statements(fn) -> list[ast.stmt]:
     """The function body minus a leading docstring."""
     body = list(fn.body)
@@ -78,11 +97,16 @@ def _calls_name(fn, twin: str) -> bool:
 
 
 def _check_wrapper(
-    module: ModuleInfo, spec: ScalarWrapper, findings: list[Finding]
+    module: ModuleInfo,
+    spec: ScalarWrapper,
+    by_rel: dict[str, ModuleInfo],
+    findings: list[Finding],
 ) -> None:
     where = f"{spec.cls}.{spec.scalar}" if spec.cls else spec.scalar
     scalar = _find_function(module.tree, spec.cls, spec.scalar)
     twin = _find_function(module.tree, spec.cls, spec.twin)
+    if twin is None and spec.cls is None:
+        twin = _imported_function(module, spec.twin, by_rel)
     if scalar is None or twin is None:
         missing = spec.scalar if scalar is None else spec.twin
         findings.append(
@@ -168,5 +192,5 @@ def check(modules: list[ModuleInfo], manifest: Manifest) -> list[Finding]:
         )
         if module is None:
             continue  # spec's module outside this scan's roots
-        _check_wrapper(module, spec, findings)
+        _check_wrapper(module, spec, by_rel, findings)
     return findings

@@ -257,7 +257,37 @@ DEFAULT_MANIFEST = Manifest(
             module="repro/schedule/lower.py",
             cls=None,
             scalar="lower",
-            twin="_lower_cached",
+            twin="lower_batch",
+        ),
+        ScalarWrapper(
+            module="repro/core/symbols.py",
+            cls=None,
+            scalar="extract_symbols",
+            twin="extract_symbols_batch",
+        ),
+        ScalarWrapper(
+            module="repro/core/penalty.py",
+            cls=None,
+            scalar="compute_penalties",
+            twin="compute_penalties_batch",
+        ),
+        ScalarWrapper(
+            module="repro/core/analyzer.py",
+            cls="SymbolBasedAnalyzer",
+            scalar="latency",
+            twin="latency_batch",
+        ),
+        ScalarWrapper(
+            module="repro/core/analyzer.py",
+            cls="SymbolBasedAnalyzer",
+            scalar="score",
+            twin="score_batch",
+        ),
+        ScalarWrapper(
+            module="repro/core/analyzer.py",
+            cls=None,
+            scalar="is_launchable",
+            twin="is_launchable_mask",
         ),
     ),
     hot_packages=(

@@ -22,8 +22,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.penalty import compute_penalties, compute_penalties_batch
-from repro.core.symbols import extract_symbols, extract_symbols_batch
+from repro.core.penalty import compute_penalties_batch
+from repro.core.symbols import extract_symbols_batch
 from repro.schedule.batch import CandidateBatch
 from repro.schedule.lower import LoweredProgram
 
@@ -32,21 +32,19 @@ if TYPE_CHECKING:  # runtime-free to avoid a core <-> hardware import cycle
 
 
 def is_launchable(prog: LoweredProgram, device: "DeviceSpec") -> bool:
+    """Static hard-constraint check of one program: a one-row view of
+    :func:`is_launchable_mask`."""
+    return bool(is_launchable_mask(CandidateBatch.from_programs([prog]), device)[0])
+
+
+def is_launchable_mask(batch: CandidateBatch, device: "DeviceSpec") -> np.ndarray:
     """Static hard-constraint check (what TVM rejects before compiling).
 
     Thread-count and shared-memory limits are architectural constants,
     so both the draft model and every search policy may filter on them
-    without consulting the device *measurements*.
+    without consulting the device *measurements*.  Boolean mask over a
+    batch.
     """
-    return (
-        1 <= prog.threads_per_block <= device.max_threads_per_block
-        and prog.smem_bytes <= device.smem_per_block
-        and prog.grid >= 1
-    )
-
-
-def is_launchable_mask(batch: CandidateBatch, device: "DeviceSpec") -> np.ndarray:
-    """Vectorized :func:`is_launchable`: boolean mask over a batch."""
     return (
         (batch.threads >= 1)
         & (batch.threads <= device.max_threads_per_block)
@@ -74,30 +72,14 @@ class SymbolBasedAnalyzer:
     use_memory_penalty: bool = True
 
     def latency(self, prog: LoweredProgram) -> float:
-        """Estimated total latency L_total (seconds; ranking-grade only)."""
-        symbols = extract_symbols(prog)
-        pen = compute_penalties(symbols, self.device, prog.workload.dtype_bytes)
-
-        peak = self.device.peak_for(prog.tensorcore)
-        compute_product = pen.compute_product() if self.use_compute_penalty else 1.0
-        memory_product = pen.memory_product() if self.use_memory_penalty else 1.0
-
-        u_p = peak * max(compute_product, 1e-12)
-        u_m = self.device.peak_bw * max(memory_product, 1e-12)
-
-        l_c = symbols.s8_l2_compute / u_p
-        l_m = symbols.s5_l2_traffic * prog.workload.dtype_bytes / u_m
-        return l_c + l_m
+        """Estimated total latency L_total of one program: a one-row view
+        of :meth:`latency_batch`."""
+        return float(self.latency_batch(CandidateBatch.from_programs([prog]))[0])
 
     def score(self, prog: LoweredProgram) -> float:
-        """Hardware-fitness score (higher is better): negated latency.
-
-        Programs that violate hard launch constraints score ``-inf`` so
-        that the GA and PriorFilter never keep them.
-        """
-        if not is_launchable(prog, self.device):
-            return -math.inf
-        return -self.latency(prog)
+        """Hardware-fitness score of one program: a one-row view of
+        :meth:`score_batch`."""
+        return float(self.score_batch(CandidateBatch.from_programs([prog]))[0])
 
     def scores(self, progs: list[LoweredProgram]) -> list[float]:
         """Batch scores of a program list (delegates to the array path)."""
@@ -109,20 +91,17 @@ class SymbolBasedAnalyzer:
     # batched path (one GA generation = a handful of numpy ops)
     # ------------------------------------------------------------------
     def latency_batch(self, batch: CandidateBatch) -> np.ndarray:
-        """Vectorized :meth:`latency` over a :class:`CandidateBatch`.
-
-        Same operation order as the scalar formula, so both paths agree
-        bit-for-bit on every candidate.
-        """
+        """Estimated total latency L_total per candidate (seconds;
+        ranking-grade only)."""
         symbols = extract_symbols_batch(batch)
         pen = compute_penalties_batch(
             symbols, self.device, batch.dtype_bytes.astype(np.float64)
         )
 
-        peak = np.where(
-            batch.tensorcore, self.device.peak_for(True), self.device.peak_for(False)
-        )
         n = len(batch)
+        peak = np.full(n, self.device.peak_for(False))
+        if batch.tensorcore.any():  # devices without TensorCores raise here
+            peak[batch.tensorcore] = self.device.peak_for(True)
         compute_product = (
             pen.compute_product() if self.use_compute_penalty else np.ones(n)
         )
@@ -138,7 +117,11 @@ class SymbolBasedAnalyzer:
         return l_c + l_m
 
     def score_batch(self, batch: CandidateBatch) -> np.ndarray:
-        """Vectorized :meth:`score`: ``-latency``, ``-inf`` if unlaunchable."""
+        """Hardware-fitness score (higher is better): negated latency.
+
+        Programs that violate hard launch constraints score ``-inf`` so
+        that the GA and PriorFilter never keep them.
+        """
         scores = -self.latency_batch(batch)
         scores[~is_launchable_mask(batch, self.device)] = -math.inf
         return scores

@@ -19,8 +19,7 @@ fragment-alignment symbol S9.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -31,8 +30,32 @@ if TYPE_CHECKING:  # runtime-free to avoid a core <-> hardware import cycle
     from repro.hardware.device import DeviceSpec
 
 
+class _PenaltyProducts:
+    """The utilization products of :class:`Penalties` and
+    :class:`PenaltiesBatch` (one definition for scalars and arrays)."""
+
+    def density(self):
+        """P_l0_c folded into a (0, 1] utilization factor.
+
+        The paper's ``P_l0_c = 1 + S2/S1`` is unbounded ("the bigger the
+        better"); multiplying it into ``U_p = T_p * prod(P)`` directly
+        would inflate the peak by orders of magnitude and erase the
+        compute term from the ranking.  ``1 - 1/P_l0_c`` preserves its
+        monotonicity while acting as a genuine utilization multiplier.
+        """
+        return 1.0 - 1.0 / self.p_l0_c
+
+    def compute_product(self):
+        """Product of the compute-side penalties (drives U_p)."""
+        return self.density() * self.p_l1_c * self.alpha_l1 * self.p_l2_c * self.p_tc
+
+    def memory_product(self):
+        """Product of the memory-side penalties (drives U_m)."""
+        return self.p_l0_m * self.p_l1_m * self.p_l2_m
+
+
 @dataclass(frozen=True)
-class Penalties:
+class Penalties(_PenaltyProducts):
     """Penalty terms for one program on one device."""
 
     p_l0_m: float
@@ -44,71 +67,20 @@ class Penalties:
     p_l2_m: float
     p_tc: float = 1.0
 
-    def density(self) -> float:
-        """P_l0_c folded into a (0, 1] utilization factor.
-
-        The paper's ``P_l0_c = 1 + S2/S1`` is unbounded ("the bigger the
-        better"); multiplying it into ``U_p = T_p * prod(P)`` directly
-        would inflate the peak by orders of magnitude and erase the
-        compute term from the ranking.  ``1 - 1/P_l0_c`` preserves its
-        monotonicity while acting as a genuine utilization multiplier.
-        """
-        return 1.0 - 1.0 / self.p_l0_c
-
-    def compute_product(self) -> float:
-        """Product of the compute-side penalties (drives U_p)."""
-        return self.density() * self.p_l1_c * self.alpha_l1 * self.p_l2_c * self.p_tc
-
-    def memory_product(self) -> float:
-        """Product of the memory-side penalties (drives U_m)."""
-        return self.p_l0_m * self.p_l1_m * self.p_l2_m
-
 
 def compute_penalties(
     symbols: Symbols, device: DeviceSpec, dtype_bytes: int = 4
 ) -> Penalties:
-    """Evaluate all penalty terms for a symbol vector on ``device``."""
-    s = symbols
-
-    # --- L0 (registers) ---
-    m_l0 = float(device.max_regs_per_thread)
-    p_l0_m = min(m_l0 / max(1.0, s.s1_l0_alloc), 1.0)
-    p_l0_c = 1.0 + s.s2_l0_compute / max(1.0, s.s1_l0_alloc)
-
-    # --- L1 (shared memory / warps) ---
-    m_l1_elems = device.smem_per_block / dtype_bytes
-    p_l1_m = min(m_l1_elems / max(1.0, s.s3_l1_alloc), 1.0) if s.s3_l1_alloc else 1.0
-    n_l1 = device.warp_size
-    pu_l1 = device.warp_schedulers
-    sch_l1 = math.ceil(s.s4_l1_para / n_l1)
-    p_l1_c = sch_l1 / (math.ceil(sch_l1 / pu_l1) * pu_l1)
-    alpha_l1 = s.s4_l1_para / (sch_l1 * n_l1)
-
-    # --- L2 (global memory / SMs) ---
-    pu_l2 = device.sms
-    p_l2_c = s.s6_l2_para / (math.ceil(s.s6_l2_para / pu_l2) * pu_l2)
-    n_l2 = device.transaction_elems
-    p_l2_m = s.s7_l2_trans / (math.ceil(s.s7_l2_trans / n_l2) * n_l2)
-
-    return Penalties(
-        p_l0_m=p_l0_m,
-        p_l0_c=p_l0_c,
-        p_l1_m=p_l1_m,
-        p_l1_c=p_l1_c,
-        alpha_l1=alpha_l1,
-        p_l2_c=p_l2_c,
-        p_l2_m=p_l2_m,
-        p_tc=s.s9_tc_align,
-    )
+    """Penalty terms of one symbol vector on ``device``: a one-row view
+    of :func:`compute_penalties_batch`."""
+    row = SymbolsBatch(*(np.array([v], dtype=np.float64) for v in symbols.as_tuple()))
+    dtype = np.array([dtype_bytes], dtype=np.float64)
+    return compute_penalties_batch(row, device, dtype).row(0)
 
 
 @dataclass(frozen=True)
-class PenaltiesBatch:
-    """Penalty terms of a whole batch, one ``(N,)`` array per term.
-
-    Same formulas and operation order as :class:`Penalties` so the two
-    paths agree bit-for-bit (the equivalence suite checks this).
-    """
+class PenaltiesBatch(_PenaltyProducts):
+    """Penalty terms of a whole batch, one ``(N,)`` array per term."""
 
     p_l0_m: np.ndarray
     p_l0_c: np.ndarray
@@ -119,23 +91,16 @@ class PenaltiesBatch:
     p_l2_m: np.ndarray
     p_tc: np.ndarray
 
-    def density(self) -> np.ndarray:
-        """P_l0_c folded into a (0, 1] utilization factor (see Penalties)."""
-        return 1.0 - 1.0 / self.p_l0_c
-
-    def compute_product(self) -> np.ndarray:
-        """Product of the compute-side penalties (drives U_p)."""
-        return self.density() * self.p_l1_c * self.alpha_l1 * self.p_l2_c * self.p_tc
-
-    def memory_product(self) -> np.ndarray:
-        """Product of the memory-side penalties (drives U_m)."""
-        return self.p_l0_m * self.p_l1_m * self.p_l2_m
+    def row(self, i: int) -> Penalties:
+        """Scalar :class:`Penalties` view of one candidate."""
+        return Penalties(*(float(getattr(self, f.name)[i]) for f in fields(self)))
 
 
 def compute_penalties_batch(
     symbols: SymbolsBatch, device: DeviceSpec, dtype_bytes: np.ndarray
 ) -> PenaltiesBatch:
-    """Vectorized :func:`compute_penalties` (``dtype_bytes`` per candidate)."""
+    """Evaluate all penalty terms of a batch on ``device`` (``dtype_bytes``
+    per candidate)."""
     s = symbols
 
     # --- L0 (registers) ---

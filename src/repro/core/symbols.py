@@ -20,22 +20,19 @@ For TensorCore programs we add S9 ``TCFragAlign``: how well the
 thread-tile maps onto WMMA 16x16x16 fragments (the symbol the paper
 introduces when integrating Pruner into MetaSchedule, Section 6.4).
 
-Symbols are pure functions of the :class:`~repro.schedule.lower.LoweredProgram`;
-all the products over tile factors (Figure 3) already happened during
-lowering.
+Symbols are pure functions of the lowered program; all the products
+over tile factors (Figure 3) and the S9 alignment already happened in
+:func:`~repro.schedule.batch.lower_batch`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from repro.cache import register_lru
 from repro.schedule.batch import CandidateBatch
 from repro.schedule.lower import LoweredProgram
-from repro.schedule.space import WMMA_LANE
 
 
 @dataclass(frozen=True)
@@ -67,42 +64,10 @@ class Symbols:
         )
 
 
-def _fragment_alignment(prog: LoweredProgram) -> float:
-    """S9: fraction of issued WMMA lanes doing useful work.
-
-    Thread tiles that are exact multiples of the 16-wide fragment edge
-    score 1.0; ragged tiles waste fragment lanes proportionally.
-    """
-    if not prog.tensorcore:
-        return 1.0
-    spatial = [d.name for d in prog.workload.spatial][-2:]
-    tile = prog.config.tile_map
-    align = 1.0
-    for axis in spatial:
-        f = tile[axis]
-        thread_tile = f[2] * f[3] * f[4]
-        waves = -(-thread_tile // WMMA_LANE)  # ceil
-        align *= thread_tile / (waves * WMMA_LANE)
-    return align
-
-
-@lru_cache(maxsize=65536)
 def extract_symbols(prog: LoweredProgram) -> Symbols:
-    """Extract the hardware-aware symbol vector from a lowered program."""
-    return Symbols(
-        s1_l0_alloc=float(prog.reg_elems),
-        s2_l0_compute=float(prog.thread_compute),
-        s3_l1_alloc=float(prog.smem_elems),
-        s4_l1_para=float(prog.threads_per_block),
-        s5_l2_traffic=float(prog.traffic_elems),
-        s6_l2_para=float(prog.grid),
-        s7_l2_trans=float(prog.trans_span),
-        s8_l2_compute=float(prog.flops),
-        s9_tc_align=_fragment_alignment(prog),
-    )
-
-
-register_lru("core.symbols.extract_symbols", extract_symbols)
+    """Symbol vector of one program: a one-row view of
+    :func:`extract_symbols_batch`."""
+    return extract_symbols_batch(CandidateBatch.from_programs([prog])).row(0)
 
 
 @dataclass(frozen=True)
@@ -135,7 +100,7 @@ class SymbolsBatch:
 
 
 def extract_symbols_batch(batch: CandidateBatch) -> SymbolsBatch:
-    """Vectorized :func:`extract_symbols` over a :class:`CandidateBatch`.
+    """The S1..S9 symbol vectors of a :class:`CandidateBatch`.
 
     Pure array views — lowering already materialized every product over
     tile factors, so this is only dtype promotion to float64.

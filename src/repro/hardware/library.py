@@ -17,32 +17,31 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.hardware.device import DeviceSpec
 from repro.hardware.simulator import GroundTruthSimulator
 from repro.ir.ops import Workload
 from repro.rng import rng_for
-from repro.schedule.lower import LoweredProgram, lower
-from repro.schedule.sampler import random_population
+from repro.schedule.batch import CandidateBatch, lower_batch
+from repro.schedule.sampler import random_batch
 from repro.schedule.sketch import generate_sketch
 
 
-def _pow2(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
-
-
-def _inventory_aligned(prog: LoweredProgram, device: DeviceSpec) -> bool:
+def _inventory_aligned(batch: CandidateBatch, device: DeviceSpec) -> np.ndarray:
     """Library kernel inventories only contain warp-aligned, power-of-two
     tile shapes; odd hand-rolled tiles a compiler could emit are not
     stocked.  This is why libraries dominate large regular GEMMs but can
-    trail tuned code on small or irregular shapes (paper Figs. 9/11)."""
-    if prog.threads_per_block % device.warp_size != 0:
-        return False
-    if not 64 <= prog.threads_per_block <= 512:
-        return False
-    for _, factors in prog.config.tiles:
-        if not all(f == 1 or _pow2(f) for f in factors[1:]):
-            return False
-    return True
+    trail tuned code on small or irregular shapes (paper Figs. 9/11).
+    Boolean mask over a lowered batch."""
+    threads = batch.threads
+    inner = batch.configs.factors[:, :, 1:]  # every factor but the outer one
+    return (
+        (threads % device.warp_size == 0)
+        & (threads >= 64)
+        & (threads <= 512)
+        & ((inner & (inner - 1)) == 0).all(axis=(1, 2))  # padding slots are 1
+    )
 
 
 @dataclass(frozen=True)
@@ -127,30 +126,26 @@ class LibrarySurrogate:
         unusual shapes while the library stays near-optimal on classic
         ones (paper Figures 9/11, Tables 6/8).
         """
-        from repro.core.analyzer import SymbolBasedAnalyzer, is_launchable
+        from repro.core.analyzer import SymbolBasedAnalyzer, is_launchable_mask
 
         space = generate_sketch(
             workload, tensorcore=tensorcore, allow_splitk=self.allow_splitk
         )
         rng = rng_for("library", self.device.name, workload.key, tensorcore)
-        population = random_population(space, rng, self.samples * 4)
-        progs = [lower(space, cfg) for cfg in population]
-        aligned = [
-            p
-            for p in progs
-            if is_launchable(p, self.device) and _inventory_aligned(p, self.device)
-        ][: self.samples]
-        if not aligned:  # degenerate shapes: fall back to any kernel
-            aligned = [p for p in progs if is_launchable(p, self.device)][
-                : self.samples
-            ]
+        lowered = lower_batch(space, random_batch(space, rng, self.samples * 4))
+        launchable = is_launchable_mask(lowered, self.device)
+        aligned = np.flatnonzero(launchable & _inventory_aligned(lowered, self.device))
+        if not len(aligned):  # degenerate shapes: fall back to any kernel
+            aligned = np.flatnonzero(launchable)
+        candidates = lowered.take(aligned[: self.samples])
         heuristic = SymbolBasedAnalyzer(self.device)
-        aligned.sort(key=heuristic.latency)
-        shortlist = aligned[: self.shortlist]
+        order = np.argsort(heuristic.latency_batch(candidates), kind="stable")
+        shortlist = candidates.take(order[: self.shortlist])
         best_lat = math.inf
         best_splitk = False
-        for prog in shortlist:
-            lat = self.simulator.latency(prog)
+        for lat, splitk in zip(
+            self.simulator.latency_batch(shortlist).tolist(), shortlist.splitk.tolist()
+        ):
             if lat < best_lat:
-                best_lat, best_splitk = lat, prog.splitk > 1
+                best_lat, best_splitk = lat, splitk > 1
         return best_lat, best_splitk

@@ -11,20 +11,18 @@ array math:
   ``(N, n_axes, MAX_PARTS)`` plus annotation vectors.  The GA operators
   (:mod:`repro.schedule.sampler`, :mod:`repro.schedule.mutate`) produce
   and consume these directly.
-* :func:`lower_batch` — vectorized lowering: one :class:`CandidateBatch`
+* :func:`lower_batch` — the lowering: one :class:`CandidateBatch`
   with packed arrays for threads / grid / smem / registers / traffic /
-  flops plus per-dataflow-block arrays, mirroring
-  :func:`repro.schedule.lower.lower` field for field.
+  flops / S9 alignment plus per-dataflow-block arrays.  It is the only
+  implementation of the lowering formulas; the scalar
+  :func:`~repro.schedule.lower.lower` is its memoized one-row view, and
+  :meth:`CandidateBatch.program` reads one row back out as a
+  :class:`~repro.schedule.lower.LoweredProgram` without lowering again.
 * :meth:`CandidateBatch.from_programs` — packs already-lowered
   :class:`~repro.schedule.lower.LoweredProgram` objects (possibly from
   *different* workloads, e.g. cost-model training data) into the same
   array layout, so the scalar entry points everywhere else are thin
   wrappers over the batch implementations.
-
-The scalar :func:`~repro.schedule.lower.lower` keeps its independent
-implementation on purpose: it is the reference the equivalence suite
-(``tests/test_batch_equivalence.py``) checks ``lower_batch`` against,
-and the materializer for the few candidates that actually get measured.
 """
 
 from __future__ import annotations
@@ -45,8 +43,8 @@ from repro.schedule.lower import (
     L0,
     L1,
     L2,
+    DataflowBlock,
     LoweredProgram,
-    lower,
     note_lowered,
 )
 from repro.schedule.space import WMMA, WMMA_LANE, ScheduleConfig, ScheduleSpace
@@ -63,6 +61,14 @@ TAG_ORDER = ("matmul", "conv2d", "depthwise", "conv2d_transpose", "pool", "eleme
 BLOCK_KINDS = ("init", "load", "fragment", "compute", "store", "stream")
 BK_INIT, BK_LOAD, BK_FRAGMENT, BK_COMPUTE, BK_STORE, BK_STREAM = range(6)
 _KIND_CODE = {name: code for code, name in enumerate(BLOCK_KINDS)}
+#: Tensor name of every block kind except loads (which name their read).
+_BLOCK_TENSOR = {
+    BK_INIT: "acc",
+    BK_FRAGMENT: "frag",
+    BK_COMPUTE: "acc",
+    BK_STORE: "out",
+    BK_STREAM: "x",
+}
 
 _I64 = np.int64
 _F64 = np.float64
@@ -309,10 +315,6 @@ class ConfigBatch:
         return self.take(np.sort(first))
 
     # -- materialization ----------------------------------------------
-    def program(self, i: int) -> LoweredProgram:
-        """Scalar-lower the i-th candidate (for the few that get measured)."""
-        return lower(self.space, self.config(i))
-
     def config(self, i: int) -> ScheduleConfig:
         """Materialize the i-th :class:`ScheduleConfig` (cached)."""
         cached = self._configs[i]
@@ -491,11 +493,50 @@ class CandidateBatch:
         return [p.config.key for p in self.programs]
 
     def program(self, i: int) -> LoweredProgram:
-        """Materialize one candidate as a scalar :class:`LoweredProgram`."""
+        """Row ``i`` as a :class:`LoweredProgram` (read from the arrays,
+        no lowering)."""
         if self.programs is not None:
             return self.programs[i]
         assert self.configs is not None
-        return lower(self.configs.space, self.configs.config(i))
+        space = self.configs.space
+        b = self.blocks
+        columns = (
+            b.kind, b.src, b.dst, b.traffic, b.alloc,
+            b.reuse, b.span, b.compute, b.vector, b.dtype_bytes,
+        )  # fmt: skip
+        reads = iter(r.tensor for r in space_plan(space).reads)
+        blocks = tuple(
+            DataflowBlock(
+                BLOCK_KINDS[kind],
+                src,
+                dst,
+                next(reads) if kind == BK_LOAD else _BLOCK_TENSOR[kind],
+                *quantities,  # traffic .. dtype_bytes, in field order
+            )
+            for kind, src, dst, *quantities in zip(*(c[i].tolist() for c in columns))
+            if kind >= 0
+        )
+        return LoweredProgram(
+            workload=space.workload,
+            config=self.configs.config(i),
+            tensorcore=bool(self.tensorcore[i]),
+            n_blocks=int(self.n_blocks[i]),
+            threads_per_block=int(self.threads[i]),
+            vthreads=int(self.vthreads[i]),
+            acc_regs=int(self.acc_regs[i]),
+            reg_elems=int(self.reg_elems[i]),
+            thread_compute=float(self.thread_compute[i]),
+            smem_elems=int(self.smem_elems[i]),
+            traffic_elems=float(self.traffic_elems[i]),
+            grid=int(self.grid[i]),
+            trans_span=int(self.trans_span[i]),
+            flops=float(self.flops[i]),
+            tc_align=float(self.tc_align[i]),
+            unroll=int(self.unroll[i]),
+            vector=int(self.vector[i]),
+            splitk=int(self.splitk[i]),
+            blocks=blocks,
+        )
 
     def take(self, idx: np.ndarray) -> "CandidateBatch":
         """Subset (or reorder) every array by an index/mask array."""
@@ -670,7 +711,7 @@ class CandidateBatch:
             grid=np.array([p.grid for p in progs], dtype=_I64),
             trans_span=np.array([p.trans_span for p in progs], dtype=_I64),
             flops=np.array([p.flops for p in progs], dtype=_F64),
-            tc_align=np.array([_tc_align_scalar(p) for p in progs], dtype=_F64),
+            tc_align=np.array([p.tc_align for p in progs], dtype=_F64),
             unroll=np.array([p.unroll for p in progs], dtype=_I64),
             vector=np.array([p.vector for p in progs], dtype=_I64),
             splitk=np.array([p.splitk for p in progs], dtype=_I64),
@@ -688,21 +729,6 @@ class CandidateBatch:
         )
 
 
-def _tc_align_scalar(prog: LoweredProgram) -> float:
-    """S9 fragment alignment of one program (mirror of core.symbols)."""
-    if not prog.tensorcore:
-        return 1.0
-    spatial = [d.name for d in prog.workload.spatial][-2:]
-    tile = prog.config.tile_map
-    align = 1.0
-    for axis in spatial:
-        f = tile[axis]
-        thread_tile = f[2] * f[3] * f[4]
-        waves = -(-thread_tile // WMMA_LANE)
-        align *= thread_tile / (waves * WMMA_LANE)
-    return align
-
-
 # ----------------------------------------------------------------------
 # vectorized lowering
 # ----------------------------------------------------------------------
@@ -718,10 +744,10 @@ def lower_batch(
 ) -> CandidateBatch:
     """Lower a whole batch of schedule points in a few numpy ops.
 
-    Bit-identical, field for field, to calling
-    :func:`repro.schedule.lower.lower` per config (the equivalence suite
-    asserts this); raises :class:`~repro.errors.ScheduleError` when a
-    candidate lies outside the space, like the scalar path.
+    The one implementation of the lowering formulas (paper Figure 3 and
+    the Figure 4 dataflow blocks); :func:`repro.schedule.lower.lower` is
+    its one-row view.  Raises :class:`~repro.errors.ScheduleError` when a
+    candidate lies outside the space.
 
     Populations of at least :data:`SHARD_MIN_ROWS` rows are lowered in
     :data:`_SHARD_ROWS`-row shards on a thread pool (numpy releases the

@@ -13,16 +13,19 @@ factors ``[k0, k1, k2]``.  Registers per thread include the vthread
 replication (vthreads own private registers in TVM), shared tiles span
 the whole thread block, and global traffic counts one shared-tile load
 per k0 iteration per block.
+
+There is one lowering, :func:`repro.schedule.batch.lower_batch`; the
+formulas above live there.  :func:`lower` is its memoized one-row view
+and :meth:`~repro.schedule.batch.CandidateBatch.program` builds a
+:class:`LoweredProgram` from one row of a lowered batch.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from repro.cache import register_lru
-from repro.errors import LoweringError
 from repro.ir.ops import Workload
 from repro.obs import LOWERED
 from repro.schedule.space import ScheduleConfig, ScheduleSpace
@@ -77,7 +80,8 @@ class LoweredProgram:
     All element counts are in *elements* (multiply by ``dtype_bytes``
     for bytes).  ``reg_elems`` / ``smem_elems`` / ``threads`` /
     ``traffic_elems`` / ``grid`` / ``trans_span`` / ``flops`` /
-    ``thread_compute`` correspond to symbols S1/S3/S4/S5/S6/S7/S8/S2.
+    ``thread_compute`` correspond to symbols S1/S3/S4/S5/S6/S7/S8/S2
+    and ``tc_align`` to S9 (TensorCore fragment alignment).
     """
 
     workload: Workload
@@ -98,6 +102,7 @@ class LoweredProgram:
     grid: int  # S6 (== n_blocks)
     trans_span: int  # S7 (worst innermost contiguous span)
     flops: float  # S8
+    tc_align: float  # S9 (1.0 off TensorCore)
     # annotations
     unroll: int
     vector: int
@@ -121,281 +126,17 @@ class LoweredProgram:
         return f"{self.workload.key}#{self.config.key}"
 
 
-def lower(space: ScheduleSpace, config: ScheduleConfig) -> LoweredProgram:
-    """Lower a schedule point; raises LoweringError on inconsistency."""
-    return _lower_cached(space, config)
-
-
 @lru_cache(maxsize=65536)
-def _lower_cached(space: ScheduleSpace, config: ScheduleConfig) -> LoweredProgram:
-    space.validate(config)
-    note_lowered(1)
-    if space.workload.is_tiled:
-        return _lower_tiled(space, config)
-    return _lower_flat(space, config)
+def lower(space: ScheduleSpace, config: ScheduleConfig) -> LoweredProgram:
+    """Lower one schedule point: a one-row view of :func:`lower_batch`.
+
+    Memoized on ``(space, config)``; raises
+    :class:`~repro.errors.ScheduleError` when the config lies outside
+    the space.
+    """
+    from repro.schedule.batch import lower_batch  # batch imports this module
+
+    return lower_batch(space, [config]).program(0)
 
 
-register_lru("schedule.lower._lower_cached", _lower_cached)
-
-
-def _lower_tiled(space: ScheduleSpace, config: ScheduleConfig) -> LoweredProgram:
-    wl = space.workload
-    tile = config.tile_map
-    spatial_axes = [d.name for d in wl.spatial]
-    reduction_axes = [d.name for d in wl.reduction]
-    splitk = config.splitk
-
-    f0 = {a: tile[a][0] for a in spatial_axes}
-    f1 = {a: tile[a][1] for a in spatial_axes}
-    f2 = {a: tile[a][2] for a in spatial_axes}
-    thread_tile = {a: tile[a][2] * tile[a][3] * tile[a][4] for a in spatial_axes}
-    block_tile = {a: tile[a][1] * thread_tile[a] for a in spatial_axes}
-
-    n_blocks = math.prod(f0.values()) * splitk
-    threads_per_block = math.prod(f1.values())
-    vthreads = math.prod(f2.values())
-
-    # reduction tiling: per-block reduction work is extent / splitk,
-    # iterated k0 times over chunks of k1*k2.
-    chunk = {r: tile[r][1] * tile[r][2] for r in reduction_axes}
-    red_per_block = {
-        r: max(1, math.ceil(wl.loop_extents()[r] / splitk)) for r in reduction_axes
-    }
-
-    # ----- L0: registers -----
-    acc_regs = math.prod(thread_tile.values())
-    input_regs: dict[str, int] = {}
-    for read in wl.reads:
-        touched = read.loops()
-        regs = math.prod(thread_tile[a] for a in spatial_axes if a in touched)
-        input_regs[read.tensor] = regs
-    reg_elems = acc_regs + sum(input_regs.values())  # S1
-    thread_compute = acc_regs * math.prod(red_per_block.values())  # S2
-
-    # ----- L1: shared memory tiles -----
-    shared_tile_map = dict(block_tile)
-    shared_tile_map.update(chunk)
-    block_points = math.prod(block_tile.values()) * math.prod(chunk.values())
-    shared_tiles: dict[str, int] = {}
-    shared_reuse: dict[str, float] = {}
-    spans: list[int] = []
-    for read in wl.reads:
-        fp = read.footprint(shared_tile_map)
-        shared_tiles[read.tensor] = fp
-        shared_reuse[read.tensor] = block_points / max(1, fp)
-        spans.append(read.innermost_span(shared_tile_map))
-    smem_elems = sum(shared_tiles.values()) if space.use_shared else 0  # S3
-
-    # ----- L2: global traffic -----
-    traffic_tile_map = dict(block_tile)
-    traffic_tile_map.update(red_per_block)
-    input_traffic: dict[str, float] = {}
-    for read in wl.reads:
-        per_block = read.footprint(traffic_tile_map)
-        input_traffic[read.tensor] = float(per_block) * n_blocks
-    store_traffic = float(wl.output_elems) * splitk
-    epilogue_reads = float(wl.output_elems) * sum(
-        1 for op in wl.fused_ops if op in ("add", "residual")
-    )
-    traffic_elems = sum(input_traffic.values()) + store_traffic + epilogue_reads  # S5
-    grid = n_blocks  # S6
-    trans_span = min(spans) if spans else 1  # S7
-    flops = wl.flops  # S8
-
-    blocks = _tiled_dataflow_blocks(
-        wl,
-        config,
-        space.tensorcore,
-        acc_regs,
-        input_regs,
-        shared_tiles,
-        shared_reuse,
-        input_traffic,
-        store_traffic,
-        threads_per_block,
-        spans,
-        flops,
-    )
-
-    return LoweredProgram(
-        workload=wl,
-        config=config,
-        tensorcore=space.tensorcore,
-        n_blocks=n_blocks,
-        threads_per_block=threads_per_block,
-        vthreads=vthreads,
-        acc_regs=acc_regs,
-        reg_elems=reg_elems,
-        thread_compute=thread_compute,
-        smem_elems=smem_elems,
-        traffic_elems=traffic_elems,
-        grid=grid,
-        trans_span=trans_span,
-        flops=flops,
-        unroll=config.unroll,
-        vector=config.vector,
-        splitk=splitk,
-        blocks=tuple(blocks),
-    )
-
-
-def _tiled_dataflow_blocks(
-    wl: Workload,
-    config: ScheduleConfig,
-    tensorcore: bool,
-    acc_regs: int,
-    input_regs: dict[str, int],
-    shared_tiles: dict[str, int],
-    shared_reuse: dict[str, float],
-    input_traffic: dict[str, float],
-    store_traffic: float,
-    threads: int,
-    spans: list[int],
-    flops: float,
-) -> list[DataflowBlock]:
-    """The multi-tiling pattern of Figure 4 as a block sequence."""
-    bytes_ = wl.dtype_bytes
-    vthreads = math.prod(tile[2] for _, tile in config.tiles if len(tile) == 5)
-    blocks: list[DataflowBlock] = [
-        DataflowBlock(
-            kind="init",
-            src_level=L0,
-            dst_level=L0,
-            tensor="acc",
-            traffic_elems=0.0,
-            alloc_elems=float(acc_regs),
-            # reuse slot carries the vthread register-replication factor
-            reuse=float(vthreads),
-            innermost_span=config.vector,
-            compute_ops=0.0,
-            vector=config.vector,
-            dtype_bytes=bytes_,
-        )
-    ]
-    for read, span in zip(wl.reads, spans):
-        tile_elems = shared_tiles[read.tensor]
-        traffic = input_traffic[read.tensor]
-        reuse = shared_reuse[read.tensor]  # reads per element staged in L1
-        blocks.append(
-            DataflowBlock(
-                kind="load",
-                src_level=L2,
-                dst_level=L1,
-                tensor=read.tensor,
-                traffic_elems=traffic,
-                alloc_elems=float(tile_elems),
-                reuse=float(reuse),
-                innermost_span=span,
-                compute_ops=0.0,
-                vector=config.vector,
-                dtype_bytes=bytes_,
-            )
-        )
-    if tensorcore:
-        # shared -> WMMA fragment staging (the extra dataflow the paper
-        # adds to PaCM for MetaSchedule integration).
-        frag_elems = sum(input_regs.values())
-        blocks.append(
-            DataflowBlock(
-                kind="fragment",
-                src_level=L1,
-                dst_level=FRAGMENT,
-                tensor="frag",
-                traffic_elems=float(frag_elems) * threads,
-                alloc_elems=float(frag_elems),
-                reuse=1.0,
-                innermost_span=16,
-                compute_ops=0.0,
-                vector=config.vector,
-                dtype_bytes=bytes_,
-            )
-        )
-    operand_regs = sum(input_regs.values())
-    blocks.append(
-        DataflowBlock(
-            kind="compute",
-            src_level=FRAGMENT if tensorcore else L1,
-            dst_level=L0,
-            tensor="acc",
-            traffic_elems=float(operand_regs) * threads,
-            alloc_elems=float(acc_regs),
-            reuse=float(acc_regs) / max(1.0, operand_regs),
-            # span slot carries the unroll pipelining depth
-            innermost_span=max(1, config.unroll),
-            compute_ops=flops,
-            vector=config.vector,
-            dtype_bytes=bytes_,
-        )
-    )
-    blocks.append(
-        DataflowBlock(
-            kind="store",
-            src_level=L0,
-            dst_level=L2,
-            tensor="out",
-            traffic_elems=store_traffic,
-            alloc_elems=float(acc_regs),
-            reuse=1.0,
-            innermost_span=config.vector,
-            compute_ops=float(wl.output_elems) * len(wl.fused_ops),
-            vector=config.vector,
-            dtype_bytes=bytes_,
-        )
-    )
-    return blocks
-
-
-def _lower_flat(space: ScheduleSpace, config: ScheduleConfig) -> LoweredProgram:
-    """Element-wise / pooling lowering: flat [grid, block] parallelization."""
-    wl = space.workload
-    tile = config.tile_map
-    spatial_axes = [d.name for d in wl.spatial]
-    reduction_axes = [d.name for d in wl.reduction]
-
-    n_blocks = math.prod(tile[a][0] for a in spatial_axes)
-    threads_per_block = math.prod(tile[a][1] for a in spatial_axes)
-    if threads_per_block < 1:
-        raise LoweringError(f"flat schedule for {wl.name} has no threads")
-    red_points = math.prod(wl.loop_extents()[r] for r in reduction_axes) if reduction_axes else 1
-
-    full = wl.loop_extents()
-    input_elems = sum(r.footprint(full) for r in wl.reads)
-    traffic = float(input_elems + wl.output_elems)
-    last_axis = spatial_axes[-1]
-    span = tile[last_axis][1] * config.vector
-
-    blocks = (
-        DataflowBlock(
-            kind="stream",
-            src_level=L2,
-            dst_level=L2,
-            tensor="x",
-            traffic_elems=traffic,
-            alloc_elems=float(config.vector),
-            reuse=float(red_points),
-            innermost_span=span,
-            compute_ops=wl.flops,
-            vector=config.vector,
-            dtype_bytes=wl.dtype_bytes,
-        ),
-    )
-    return LoweredProgram(
-        workload=wl,
-        config=config,
-        tensorcore=False,
-        n_blocks=n_blocks,
-        threads_per_block=threads_per_block,
-        vthreads=1,
-        acc_regs=config.vector,
-        reg_elems=config.vector * 2,
-        thread_compute=float(red_points) * config.vector,
-        smem_elems=0,
-        traffic_elems=traffic,
-        grid=n_blocks,
-        trans_span=span,
-        flops=wl.flops,
-        unroll=config.unroll,
-        vector=config.vector,
-        splitk=1,
-        blocks=blocks,
-    )
+register_lru("schedule.lower.lower", lower)

@@ -61,9 +61,8 @@ class TuningRecord:
     def from_dict(data: dict, space: ScheduleSpace) -> "TuningRecord":
         """Rebuild a record by re-lowering its config against ``space``.
 
-        Raises :class:`~repro.errors.ScheduleError` /
-        :class:`~repro.errors.LoweringError` if the stored config no
-        longer lies in the space (e.g. the sketch changed between
+        Raises :class:`~repro.errors.ScheduleError` if the stored config
+        no longer lies in the space (e.g. the sketch changed between
         versions) — callers typically skip such rows.
         """
         cfg = data["config"]

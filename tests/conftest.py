@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.hardware.device import get_device
@@ -51,3 +54,28 @@ def conv_wl():
 @pytest.fixture
 def conv_space(conv_wl):
     return generate_sketch(conv_wl)
+
+
+class LoweringGolden:
+    """Frozen scalar lowering / draft-model / simulator outputs
+    (``tests/fixtures/lowering/golden.json``, see ``make_golden.py``)."""
+
+    PATH = Path(__file__).resolve().parent / "fixtures" / "lowering" / "golden.json"
+
+    def __init__(self) -> None:
+        self.data = json.loads(self.PATH.read_text())
+
+    def __getitem__(self, section: str) -> dict:
+        return self.data[section]
+
+    def entry(self, section: str, config_keys: list[str]) -> dict:
+        """The ``section`` entry whose frozen configs are ``config_keys``."""
+        for value in self.data[section].values():
+            if value["configs"] == config_keys:
+                return value
+        raise AssertionError(f"no golden {section} entry for these configs")
+
+
+@pytest.fixture(scope="session")
+def lowering_golden():
+    return LoweringGolden()

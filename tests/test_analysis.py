@@ -26,7 +26,7 @@ from repro.analysis import (
 )
 from repro.analysis.lockcheck import _cycle_in
 from repro.analysis.locks import static_edges
-from repro.analysis.manifest import Manifest, SharedClass
+from repro.analysis.manifest import Manifest, ScalarWrapper, SharedClass
 from repro.errors import AnalysisError
 
 REPO = Path(__file__).resolve().parent.parent
@@ -324,3 +324,25 @@ def test_guarded_access_and_helper_assumption(tmp_path):
     assert [(f.rule, f.symbol) for f in report.findings] == [
         ("lock-helper-unlocked", "Box.reset_racy")
     ]
+
+
+def test_drift_twin_imported_from_another_module(tmp_path):
+    # a module-level scalar may delegate to a twin defined in the module
+    # it imports it from; without that import the twin is missing
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "batch.py").write_text("def run_batch(xs):\n    return xs\n")
+    (pkg / "mod.py").write_text(
+        "def run(x):\n"
+        "    from pkg.batch import run_batch\n\n"
+        "    return run_batch([x])[0]\n"
+    )
+    manifest = Manifest(
+        wrappers=(
+            ScalarWrapper(module="pkg/mod.py", cls=None, scalar="run", twin="run_batch"),
+        )
+    )
+    assert analyze_paths([pkg], manifest=manifest).ok
+    (pkg / "mod.py").write_text("def run(x):\n    return x\n")
+    report = analyze_paths([pkg], manifest=manifest)
+    assert [f.rule for f in report.findings] == ["drift-missing-wrapper"]

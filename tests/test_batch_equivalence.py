@@ -1,11 +1,13 @@
-"""Equivalence suite: the batched pipeline vs the scalar reference path.
+"""Equivalence suite for the batched candidate pipeline.
 
-The batched candidate pipeline (``repro.schedule.batch`` and every
-consumer of it) must be *bit-identical* to the scalar implementations:
-same lowered fields, same draft-model scores, same feature rows, same
-model predictions, same proposed candidates and clock charges.  These
-tests pin that contract across workload classes (tiled / TensorCore /
-flat), devices, and random configurations.
+Lowering and the draft model have one implementation each, the batched
+one; the scalar entry points are one-row views of it.  ``TestLowerBatch``
+and ``TestAnalyzerBatch`` pin both against outputs frozen from the
+earlier independent scalar implementations
+(``tests/fixtures/lowering/golden.json``); the feature, cost-model and
+policy tests check that the batch consumers agree with their per-program
+entry points across workload classes (tiled / TensorCore / flat),
+devices, and random configurations.
 """
 
 from __future__ import annotations
@@ -46,21 +48,8 @@ WORKLOADS = [
     pytest.param(ops.pool2d(1, 32, 28, 28, 2, 2), False, id="pool"),
 ]
 
-_PROG_FIELDS = (
-    "n_blocks",
-    "vthreads",
-    "acc_regs",
-    "reg_elems",
-    "thread_compute",
-    "smem_elems",
-    "traffic_elems",
-    "grid",
-    "trans_span",
-    "flops",
-    "unroll",
-    "vector",
-    "splitk",
-)
+#: ``LoweredProgram`` field -> ``CandidateBatch`` array, where they differ.
+_BATCH_ARRAY = {"threads_per_block": "threads"}
 
 
 def _space_and_configs(wl, tensorcore, n=60, seed=0):
@@ -69,35 +58,54 @@ def _space_and_configs(wl, tensorcore, n=60, seed=0):
     return space, configs
 
 
+def _golden_case(golden, wl, tc):
+    """Lowered batch, program views and the golden entry of one workload."""
+    space, configs = _space_and_configs(wl, tc)
+    entry = golden.entry("lower", [c.key for c in configs])
+    batch = lower_batch(space, configs)
+    return space, configs, batch, [batch.program(i) for i in range(len(batch))], entry
+
+
 class TestLowerBatch:
-    @pytest.mark.parametrize("wl,tc", WORKLOADS)
-    def test_fields_match_scalar_lower(self, wl, tc):
-        """Property test: lower_batch == lower on random configs."""
-        space, configs = _space_and_configs(wl, tc)
-        batch = lower_batch(space, configs)
-        for i, cfg in enumerate(configs):
-            prog = lower(space, cfg)
-            assert batch.threads[i] == prog.threads_per_block
-            for name in _PROG_FIELDS:
-                assert float(getattr(batch, name)[i]) == float(getattr(prog, name)), (
-                    f"{wl.name}[{i}].{name}"
-                )
+    """lower_batch, its program views and the memoized lower() against
+    the outputs frozen from the scalar lowering (golden fixture)."""
 
     @pytest.mark.parametrize("wl,tc", WORKLOADS)
-    def test_blocks_match_scalar_lower(self, wl, tc):
-        space, configs = _space_and_configs(wl, tc, n=25)
-        batch = lower_batch(space, configs)
-        for i, cfg in enumerate(configs):
-            prog = lower(space, cfg)
-            for b, blk in enumerate(prog.blocks):
-                assert BLOCK_KINDS[batch.blocks.kind[i, b]] == blk.kind
-                assert batch.blocks.src[i, b] == blk.src_level
-                assert batch.blocks.dst[i, b] == blk.dst_level
-                assert batch.blocks.traffic[i, b] == blk.traffic_elems
-                assert batch.blocks.alloc[i, b] == blk.alloc_elems
-                assert batch.blocks.reuse[i, b] == blk.reuse
-                assert batch.blocks.span[i, b] == blk.innermost_span
-                assert batch.blocks.compute[i, b] == blk.compute_ops
+    def test_fields_match_scalar_lower(self, wl, tc, lowering_golden):
+        space, configs, batch, progs, entry = _golden_case(lowering_golden, wl, tc)
+        assert entry["workload"] == wl.key
+        memoized = [lower(space, c) for c in configs]
+        for name, want in entry["program"].items():
+            got = getattr(batch, _BATCH_ARRAY.get(name, name)).tolist()
+            assert got == want, f"{wl.name}.{name} (batch)"
+            assert [getattr(p, name) for p in progs] == want, f"{wl.name}.{name}"
+            assert [getattr(p, name) for p in memoized] == want, f"{wl.name}.{name}"
+        assert [p.config for p in progs] == configs
+        assert all(p.workload == wl for p in progs)
+
+    @pytest.mark.parametrize("wl,tc", WORKLOADS)
+    def test_blocks_match_scalar_lower(self, wl, tc, lowering_golden):
+        _, _, batch, progs, entry = _golden_case(lowering_golden, wl, tc)
+        for i, want in enumerate(entry["blocks"]):
+            for name, values in want.items():
+                got = [getattr(blk, name) for blk in progs[i].blocks]
+                assert got == values, f"{wl.name}[{i}].{name}"
+            n = len(want["kind"])
+            b = batch.blocks
+            assert [BLOCK_KINDS[k] for k in b.kind[i, :n]] == want["kind"]
+            assert (b.kind[i, n:] == -1).all()
+            for arr, name in (
+                (b.src, "src_level"),
+                (b.dst, "dst_level"),
+                (b.traffic, "traffic_elems"),
+                (b.alloc, "alloc_elems"),
+                (b.reuse, "reuse"),
+                (b.span, "innermost_span"),
+                (b.compute, "compute_ops"),
+                (b.vector, "vector"),
+                (b.dtype_bytes, "dtype_bytes"),
+            ):
+                assert arr[i, :n].tolist() == want[name], f"{wl.name}[{i}].{name}"
 
     def test_roundtrip_configs(self, matmul_space):
         configs = random_population(matmul_space, make_rng(3), 40)
@@ -117,41 +125,48 @@ class TestLowerBatch:
         )
         with pytest.raises(ScheduleError):
             lower_batch(matmul_space, [bad])
+        with pytest.raises(ScheduleError):
+            lower(matmul_space, bad)
 
 
 class TestAnalyzerBatch:
+    """Draft-model batch paths and their one-row views against the
+    outputs frozen from the scalar analyzer (golden fixture)."""
+
     @pytest.mark.parametrize("wl,tc", WORKLOADS)
     @pytest.mark.parametrize("device", ["a100", "orin", "t4"])
-    def test_scores_bit_identical(self, wl, tc, device):
+    def test_scores_bit_identical(self, wl, tc, device, lowering_golden):
         """Same scores (incl. -inf launch mask) on every device."""
         dev = get_device(device)
-        space, configs = _space_and_configs(wl, tc)
+        _, _, batch, progs, entry = _golden_case(lowering_golden, wl, tc)
         analyzer = SymbolBasedAnalyzer(dev)
-        batch = lower_batch(space, configs)
-        batch_scores = analyzer.score_batch(batch)
-        mask = is_launchable_mask(batch, dev)
-        for i, cfg in enumerate(configs):
-            prog = lower(space, cfg)
-            assert bool(mask[i]) == is_launchable(prog, dev)
-            assert batch_scores[i] == analyzer.score(prog)
+        want_scores = entry["score"][device]
+        want_mask = entry["launchable"][device]
+        assert analyzer.score_batch(batch).tolist() == want_scores
+        assert is_launchable_mask(batch, dev).tolist() == want_mask
+        assert [analyzer.score(p) for p in progs] == want_scores
+        assert [is_launchable(p, dev) for p in progs] == want_mask
 
-    def test_symbols_match(self, matmul_space):
-        configs = random_population(matmul_space, make_rng(1), 30)
-        batch = lower_batch(matmul_space, configs)
-        sb = extract_symbols_batch(batch)
-        for i, cfg in enumerate(configs):
-            assert sb.row(i) == extract_symbols(lower(matmul_space, cfg))
+    def test_symbols_match(self, lowering_golden):
+        for param in WORKLOADS:
+            wl, tc = param.values
+            _, _, batch, progs, entry = _golden_case(lowering_golden, wl, tc)
+            sb = extract_symbols_batch(batch)
+            want = entry["symbols"]
+            assert [list(sb.row(i).as_tuple()) for i in range(len(batch))] == want
+            assert [list(extract_symbols(p).as_tuple()) for p in progs] == want
 
-    def test_ablation_switches_match(self, matmul_space, a100):
-        configs = random_population(matmul_space, make_rng(2), 30)
-        batch = lower_batch(matmul_space, configs)
-        for use_c, use_m in ((False, True), (True, False)):
-            analyzer = SymbolBasedAnalyzer(
-                a100, use_compute_penalty=use_c, use_memory_penalty=use_m
-            )
-            got = analyzer.score_batch(batch)
-            want = [analyzer.score(lower(matmul_space, c)) for c in configs]
-            assert got.tolist() == want
+    def test_ablation_switches_match(self, a100, lowering_golden):
+        for param in WORKLOADS:
+            wl, tc = param.values
+            _, _, batch, progs, entry = _golden_case(lowering_golden, wl, tc)
+            for use_c, use_m in ((False, True), (True, False)):
+                analyzer = SymbolBasedAnalyzer(
+                    a100, use_compute_penalty=use_c, use_memory_penalty=use_m
+                )
+                want = entry["ablation"][f"compute={use_c},memory={use_m}"]
+                assert analyzer.score_batch(batch).tolist() == want
+                assert [analyzer.score(p) for p in progs] == want
 
 
 class TestFeatureBatch:
@@ -495,7 +510,7 @@ class TestClearCaches:
         configs = random_population(matmul_space, make_rng(30), 8)
         statement_matrix_batch(lower_batch(matmul_space, configs))
         assert len(FEATURE_ROWS) > 0
-        assert "schedule.lower._lower_cached" in registered_caches()
+        assert "schedule.lower.lower" in registered_caches()
         assert "features.cache.FEATURE_ROWS" in registered_caches()
         cleared = clear_caches()
         assert cleared >= 8

@@ -14,7 +14,7 @@ from repro.hardware.device import get_device
 from repro.hardware.simulator import GroundTruthSimulator
 from repro.ir import ops
 from repro.rng import make_rng
-from repro.schedule import generate_sketch, lower, random_config
+from repro.schedule import CandidateBatch, generate_sketch, lower, random_config
 from repro.schedule.space import ScheduleConfig
 
 
@@ -34,6 +34,16 @@ class TestAnalyzer:
         prog = lower(space, cfg)
         assert not is_launchable(prog, a100)
         assert SymbolBasedAnalyzer(a100).score(prog) == -math.inf
+
+    def test_scores_on_device_without_tensorcores(self, matmul_space, rng):
+        """Non-TensorCore programs score on k80 (no TC peak) through both
+        the batch path and its one-row views."""
+        k80 = get_device("k80")
+        sa = SymbolBasedAnalyzer(k80)
+        prog = lower(matmul_space, random_config(matmul_space, rng))
+        batch = CandidateBatch.from_programs([prog])
+        assert sa.score_batch(batch).tolist() == [sa.score(prog)]
+        assert math.isfinite(sa.latency(prog)) and sa.latency(prog) > 0
 
     def test_ablations_change_ranking(self, a100, rng):
         space = generate_sketch(ops.matmul(256, 256, 256))

@@ -193,6 +193,18 @@ class TestLoweredRowCache:
 
 class TestBatchPlumbing:
     @pytest.mark.parametrize("wl,tc", WORKLOADS)
+    def test_program_views_do_not_lower(self, wl, tc):
+        """Materializing every row of a lowered batch lowers nothing:
+        ``program(i)`` reads the row's arrays, it does not re-lower."""
+        space = _space(wl, tc)
+        batch = lower_batch(space, random_batch(space, make_rng(17), 24))
+        clear_caches()
+        before = lowered_count()
+        progs = [batch.program(i) for i in range(len(batch))]
+        assert lowered_count() == before
+        _assert_rows_equal(CandidateBatch.from_programs(progs), batch)
+
+    @pytest.mark.parametrize("wl,tc", WORKLOADS)
     def test_sharded_lowering_bit_identical(self, wl, tc, monkeypatch):
         """Thread-sharded lower_batch == single-shot lower_batch."""
         space = _space(wl, tc)

@@ -3,11 +3,12 @@
 ``GroundTruthSimulator.run_batch`` and ``MeasureRunner.measure_batch``
 are the hot measurement path; the scalar ``run`` / ``measure`` entry
 points are thin wrappers over one-row (or n-row) batches.  These tests
-pin the contract that batching changes *nothing*: latencies, validity,
-reason strings, noise draws and clock charges are bit-identical to a
-scalar reference loop across devices and workload classes — including
-invalid programs, splitK overheads, register spill and TensorCore
-fragments.
+pin the contract that batching changes *nothing*: latencies, validity
+and reason strings match the outputs frozen from the scalar simulator
+(``tests/fixtures/lowering/golden.json``), and noise draws and clock
+charges match a scalar reference loop, across devices and workload
+classes — including invalid programs, splitK overheads, register spill
+and TensorCore fragments.
 """
 
 from __future__ import annotations
@@ -53,22 +54,23 @@ def _batch_and_progs(wl, tensorcore, splitk, n=50, seed=0):
 class TestRunBatch:
     @pytest.mark.parametrize("device", DEVICES)
     @pytest.mark.parametrize("wl,tc,sk", WORKLOADS)
-    def test_bit_identical_to_scalar_run(self, wl, tc, sk, device):
-        """run_batch == run, field for field, on every device."""
+    def test_bit_identical_to_scalar_run(self, wl, tc, sk, device, lowering_golden):
+        """run_batch and the one-row run() reproduce the frozen scalar
+        simulator outputs, field for field, on every device."""
         if tc and device == "k80":
             pytest.skip("no TensorCore path on k80 (covered separately)")
-        dev = get_device(device)
-        sim = GroundTruthSimulator(dev)
+        sim = GroundTruthSimulator(get_device(device))
         batch, progs = _batch_and_progs(wl, tc, sk)
+        entry = lowering_golden.entry("simulate", batch.keys())
+        want = entry["devices"][device]
         out = sim.run_batch(batch)
-        for i, prog in enumerate(progs):
-            want = sim.run(prog)
-            assert bool(out.valid[i]) == want.valid, f"row {i}"
-            assert out.reason(i) == want.reason, f"row {i}"
-            for name in _RESULT_FIELDS:
-                assert float(getattr(out, name)[i]) == getattr(want, name), (
-                    f"row {i}: {name}"
-                )
+        assert out.valid.tolist() == want["valid"]
+        assert [out.reason(i) for i in range(len(out))] == want["reason"]
+        for name in _RESULT_FIELDS:
+            assert getattr(out, name).tolist() == want[name], name
+        scalar = [sim.run(prog) for prog in progs]
+        for name in ("valid", "reason") + _RESULT_FIELDS:
+            assert [getattr(r, name) for r in scalar] == want[name], name
 
     def test_covers_valid_and_invalid_rows(self):
         """The random population exercises both sides of the validity
@@ -114,12 +116,14 @@ class TestRunBatch:
         np.testing.assert_array_equal(direct.latency, packed.latency)
         np.testing.assert_array_equal(direct.valid, packed.valid)
 
-    def test_latency_batch_matches_latency(self, a100_sim, matmul_space):
+    def test_latency_batch_matches_latency(self, a100_sim, matmul_space, lowering_golden):
         configs = random_population(matmul_space, make_rng(3), 30)
-        batch = lower_batch(matmul_space, configs)
-        got = a100_sim.latency_batch(batch)
-        want = [a100_sim.latency(lower(matmul_space, c)) for c in configs]
-        assert got.tolist() == want
+        want = lowering_golden["matmul128"]["a100_latency_seed3"]
+        assert [c.key for c in configs] == want["configs"]
+        got = a100_sim.latency_batch(lower_batch(matmul_space, configs))
+        assert got.tolist() == want["latency"]
+        scalar = [a100_sim.latency(lower(matmul_space, c)) for c in configs]
+        assert scalar == want["latency"]
 
 
 class TestMeasureBatch:
@@ -179,14 +183,19 @@ class TestMeasureBatch:
         ) * c.measure_overhead
         assert clock.elapsed("measurement") == expected
 
-    def test_scalar_measure_wraps_batch(self, a100, matmul_space):
-        """measure(list) is measure_batch + to_results, same RNG use."""
+    def test_scalar_measure_wraps_batch(self, a100, matmul_space, lowering_golden):
+        """measure(list) is measure_batch + to_results, same RNG use, and
+        both reproduce the frozen noised latencies."""
         configs = random_population(matmul_space, make_rng(9), 40)
+        want = lowering_golden["matmul128"]["a100_measure_seed9_rng5"]
+        assert [c.key for c in configs] == want["configs"]
         progs = [lower(matmul_space, c) for c in configs]
         scalar = MeasureRunner(a100, clock=SimClock(), rng=make_rng(5)).measure(progs)
         batched = MeasureRunner(a100, clock=SimClock(), rng=make_rng(5)).measure_batch(
             lower_batch(matmul_space, configs)
         )
+        assert batched.latency.tolist() == want["latency"]
+        assert batched.valid.tolist() == want["valid"]
         assert [r.latency for r in scalar] == batched.latency.tolist()
         assert [r.valid for r in scalar] == batched.valid.tolist()
         assert [r.prog.config.key for r in scalar] == batched.batch.keys()
